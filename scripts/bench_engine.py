@@ -24,7 +24,6 @@ Usage::
         --compare-tree /tmp/seed_tree/src                        # A/B vs seed
     PYTHONPATH=src python scripts/bench_engine.py --telemetry    # sampler cost
     PYTHONPATH=src python scripts/bench_engine.py --snapshot     # codec + fork
-    PYTHONPATH=src python scripts/bench_engine.py --backend array  # engine A/B
 
 ``--check`` runs a few hundred cycles per phase only — enough to catch
 a broken or pathologically slow engine in the tier-1 suite without
@@ -45,14 +44,6 @@ digest-checked against the original) plus the fork-after-warmup speedup
 of a 3-variant transient sweep (one shared warm-up vs one warm-up per
 variant, series cross-checked for exact equality).  Writes
 ``BENCH_snapshot.json``.
-
-``--backend NAME`` benchmarks a registered engine backend
-(:mod:`repro.engine.backend`) against the reference object engine,
-alternating in-process like ``--compare-tree`` and cross-checking the
-end-of-window ``state_digest()`` of every phase — the backends'
-bit-for-bit contract; a mismatch exits non-zero, which is what CI
-gates on (``--backend array --check``).  Writes
-``BENCH_engine_<name>.json``.
 
 ``--compare-tree PATH`` measures a second source tree (e.g. a ``git
 archive`` of the pre-optimization commit, unpacked so that ``PATH``
@@ -114,17 +105,11 @@ def _load_engine(tree: str | None) -> dict:
     return mods
 
 
-def _build_sim(eng: dict, pattern_spec: str, load: float, backend: str = "object"):
+def _build_sim(eng: dict, pattern_spec: str, load: float):
     cfg = eng["config"].SimulationConfig.small(
         h=BENCH_H, routing=BENCH_ROUTING, seed=BENCH_SEED
     )
-    if backend == "object":
-        # Constructed directly (not via the registry) so --compare-tree
-        # still works against baseline trees predating the backend layer.
-        sim = eng["simulator"].Simulator(cfg)
-    else:
-        backend_mod = importlib.import_module("repro.engine.backend")
-        sim = backend_mod.get_backend(backend).simulator(cfg)
+    sim = eng["simulator"].Simulator(cfg)
     topo = sim.network.topo
     pattern = eng["patterns"].make_pattern(
         topo, eng["runner"]._pattern_rng(cfg, 2), pattern_spec
@@ -181,105 +166,6 @@ def run_benchmark(warmup: int, cycles: int, repeats: int) -> dict:
         "machine": _machine_stanza(),
         "phases": phases,
         "combined_cycles_per_sec": round(total_cycles / total_seconds, 1),
-    }
-
-
-def _time_phase_backend(
-    eng: dict, pattern_spec: str, load: float, warmup: int, cycles: int,
-    backend: str,
-) -> tuple[float, int, str]:
-    """:func:`_time_phase` on a named engine backend, plus the state
-    digest at the end of the timed window — the bit-for-bit cross-check
-    between backends (an ejected-count match is necessary; a digest
-    match is the full claim)."""
-    sim = _build_sim(eng, pattern_spec, load, backend=backend)
-    sim.run(warmup)
-    start = time.perf_counter()
-    sim.run(cycles)
-    elapsed = time.perf_counter() - start
-    return elapsed, sim.network.ejected_packets, sim.state_digest()
-
-
-def run_backend_bench(backend: str, warmup: int, cycles: int, rounds: int) -> dict:
-    """Alternating A/B: the reference object engine vs ``backend``.
-
-    Same protocol as ``--compare-tree`` (alternating rounds, best-of-N
-    per engine per phase), with a stronger behavioral check: both
-    engines must finish every phase with the identical ``state_digest()``
-    — the backends' bit-for-bit contract — not just identical ejected
-    counts.  A digest mismatch aborts with a non-zero exit, which is
-    what CI gates on.
-    """
-    eng = _load_engine(None)
-    keys = [f"{p}@{load:.2f}" for p, load in PHASES]
-    labels = ("object", backend)
-    best = {lab: dict.fromkeys(keys, float("inf")) for lab in labels}
-    ejected: dict[str, dict[str, int]] = {lab: {} for lab in labels}
-    digests: dict[str, dict[str, str]] = {lab: {} for lab in labels}
-    for rnd in range(rounds):
-        for label in labels:
-            for (pattern_spec, load), key in zip(PHASES, keys):
-                elapsed, ej, dg = _time_phase_backend(
-                    eng, pattern_spec, load, warmup, cycles, label
-                )
-                best[label][key] = min(best[label][key], elapsed)
-                ejected[label][key] = ej
-                digests[label][key] = dg
-        print(f"[round {rnd + 1}/{rounds} done]", file=sys.stderr)
-    phases = []
-    for (pattern_spec, load), key in zip(PHASES, keys):
-        if digests["object"][key] != digests[backend][key]:
-            raise SystemExit(
-                f"backend {backend!r} diverged from the object engine on "
-                f"{key}: state digests differ at the end of the timed window"
-            )
-        if ejected["object"][key] != ejected[backend][key]:
-            raise SystemExit(
-                f"behavioral mismatch on {key}: object ejected "
-                f"{ejected['object'][key]}, {backend} {ejected[backend][key]}"
-            )
-        b, c = best["object"][key], best[backend][key]
-        phases.append(
-            {
-                "pattern": pattern_spec,
-                "load": load,
-                "warmup": warmup,
-                "cycles": cycles,
-                "rounds": rounds,
-                "object_cycles_per_sec": round(cycles / b, 1),
-                "cycles_per_sec": round(cycles / c, 1),
-                "speedup": round(b / c, 2),
-                "ejected_packets": ejected[backend][key],
-                "state_digest": digests[backend][key],
-            }
-        )
-    total_cycles = len(PHASES) * cycles
-    obj_seconds = sum(best["object"][k] for k in keys)
-    back_seconds = sum(best[backend][k] for k in keys)
-    return {
-        "workload": _workload_stanza(),
-        "machine": _machine_stanza(),
-        "backend": backend,
-        "method": (
-            "alternating same-process A/B vs the object engine, best of "
-            f"{rounds} rounds per engine per phase; end-of-window state "
-            "digests cross-checked (backends must be bit-for-bit identical)"
-        ),
-        "notes": (
-            "Honest numbers: the array backend's vectorized pre-pass only "
-            "replaces the RNG-free route() evaluations; bit-exactness (same "
-            "digests, same snapshot bytes) requires the Python object graph "
-            "to stay canonical, so every grant/event still mutates it and "
-            "the mirror upkeep is pure overhead at this radix. The 10x "
-            "target is unachievable under the bit-exact contract; measured "
-            "speedup grows with radix (h=3 worst case, ~0.9x at h>=4) but "
-            "does not cross 1x on this workload. See docs/architecture.md, "
-            "'Engine backends'."
-        ),
-        "phases": phases,
-        "object_combined_cycles_per_sec": round(total_cycles / obj_seconds, 1),
-        "combined_cycles_per_sec": round(total_cycles / back_seconds, 1),
-        "combined_speedup": round(obj_seconds / back_seconds, 2),
     }
 
 
@@ -572,14 +458,6 @@ def main(argv: list[str] | None = None) -> int:
         "unless --out is given (keeps the bench harness exercised in CI)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="benchmark a registered engine backend against the object "
-        "engine, alternating in-process with per-phase state-digest "
-        "cross-checks; writes BENCH_engine_<name>.json",
-    )
-    parser.add_argument(
         "--compare-tree",
         default=None,
         metavar="PATH",
@@ -615,10 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         cycles = args.cycles if args.cycles is not None else 1500
         repeats = args.repeats if args.repeats is not None else 3
 
-    if args.backend is not None:
-        rounds = args.rounds if not args.check else 1
-        result = run_backend_bench(args.backend, warmup, cycles, rounds)
-    elif args.compare_tree is not None:
+    if args.compare_tree is not None:
         result = run_compare(args.compare_tree, warmup, cycles, args.rounds)
     elif args.telemetry:
         rounds = args.rounds if not args.check else 1
@@ -630,9 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_benchmark(warmup, cycles, repeats)
     out = args.out
     if out is None and not args.check:
-        if args.backend is not None:
-            out = f"BENCH_engine_{args.backend}.json"
-        elif args.telemetry:
+        if args.telemetry:
             out = "BENCH_telemetry.json"
         elif args.snapshot:
             out = "BENCH_snapshot.json"
@@ -667,11 +540,6 @@ def main(argv: list[str] | None = None) -> int:
         if "baseline_cycles_per_sec" in ph:
             line += (
                 f"  (baseline {ph['baseline_cycles_per_sec']:.1f}, "
-                f"speedup {ph['speedup']:.2f}x)"
-            )
-        elif "object_cycles_per_sec" in ph:
-            line += (
-                f"  (object {ph['object_cycles_per_sec']:.1f}, "
                 f"speedup {ph['speedup']:.2f}x)"
             )
         if "overhead" in ph:

@@ -35,12 +35,6 @@ snapshot, JSON round-trips it, forks a *fresh* simulator from it and
 finishes on the fork.  ``diff`` against a plain run must come back
 empty; that is the save/restore bit-identity check.
 
-``--backend NAME`` executes the whole grid on the named engine
-backend (:mod:`repro.engine.backend`).  Backends are required to be
-bit-for-bit identical, so ``--backend array`` must diff clean against a
-plain (object-backend) run — that is the cross-engine equivalence
-check, over every mechanism the grid covers.
-
 Every mode also fingerprints one multi-job workload spec
 (:mod:`repro.workloads`: three jobs with staggered lifetimes, one of
 them a burst) down to its per-job LoadPoints and interference matrix.
@@ -59,13 +53,10 @@ import json
 import sys
 import tempfile
 
-from repro.engine.backend import available_backends, get_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.runner import run_burst, run_spec, run_transient
 from repro.engine.runspec import RunSpec
-
-#: Engine backend executing every run in this process (--backend).
-BACKEND = "object"
+from repro.engine.simulator import Simulator
 
 
 def _point_dict(pt) -> dict:
@@ -76,9 +67,7 @@ def plain_runner():
     """The default runner: one :func:`run_spec` call per point."""
 
     def run(config, pattern, load, warmup, measure):
-        return run_spec(
-            RunSpec(config, pattern, load, warmup, measure, backend=BACKEND)
-        )
+        return run_spec(RunSpec(config, pattern, load, warmup, measure))
 
     return run
 
@@ -98,7 +87,7 @@ def orchestrated_runner(store, workers: int = 2):
     orch = Orchestrator(workers=workers, store=store, retries=0)
 
     def run(config, pattern, load, warmup, measure):
-        spec = RunSpec(config, pattern, load, warmup, measure, backend=BACKEND)
+        spec = RunSpec(config, pattern, load, warmup, measure)
         return orch.run_points([spec])[0]
 
     return run
@@ -115,8 +104,7 @@ def telemetry_runner():
 
     def run(config, pattern, load, warmup, measure):
         point, series = run_spec_with_telemetry(
-            RunSpec(config, pattern, load, warmup, measure, backend=BACKEND),
-            tcfg,
+            RunSpec(config, pattern, load, warmup, measure), tcfg,
         )
         assert series is not None and series.samples, "sampler produced nothing"
         return point
@@ -135,7 +123,7 @@ def snapshot_runner():
     from repro.snapshot import Snapshot
 
     def run(config, pattern, load, warmup, measure):
-        spec = RunSpec(config, pattern, load, warmup, measure, backend=BACKEND)
+        spec = RunSpec(config, pattern, load, warmup, measure)
         sim = build_steady_sim(spec)
         sim.warm_up(warmup)
         sim.run(measure // 2)
@@ -183,7 +171,7 @@ def steady_grid(run=None) -> dict:
 def drain_and_counters(telemetry: bool = False, snapshot: bool = False) -> dict:
     out = {}
     cfg = SimulationConfig.small(h=2, routing="ofar", seed=11)
-    burst = run_burst(cfg, "ADV+2", packets_per_node=4, backend=BACKEND)
+    burst = run_burst(cfg, "ADV+2", packets_per_node=4)
     out["burst"] = {k: repr(v) for k, v in dataclasses.asdict(burst).items()}
     tcfg = None
     if telemetry:
@@ -205,7 +193,6 @@ def drain_and_counters(telemetry: bool = False, snapshot: bool = False) -> dict:
             post=400,
             drain_margin=600,
             bucket=20,
-            backend=BACKEND,
         )[0]
     else:
         tr = run_transient(
@@ -218,14 +205,11 @@ def drain_and_counters(telemetry: bool = False, snapshot: bool = False) -> dict:
             drain_margin=600,
             bucket=20,
             telemetry=tcfg,
-            backend=BACKEND,
         )
     if telemetry:
         assert tr.telemetry is not None and tr.telemetry.samples
     out["transient"] = [(c, repr(v)) for c, v in tr.series]
-    sim = get_backend(BACKEND).simulator(
-        SimulationConfig.small(h=2, routing="min", seed=2)
-    )
+    sim = Simulator(SimulationConfig.small(h=2, routing="min", seed=2))
     for i in range(8):
         sim.create_packet(i, 71 - i)
     end = sim.run_until_drained(100_000)
@@ -257,8 +241,7 @@ def workload_spec():
         placement="round-robin-groups",
     )
     cfg = SimulationConfig.small(h=2, routing="ofar", seed=17)
-    return RunSpec.for_workload(cfg, workload, warmup=300, measure=300,
-                                backend=BACKEND)
+    return RunSpec.for_workload(cfg, workload, warmup=300, measure=300)
 
 
 def _workload_doc(result) -> dict:
@@ -355,7 +338,7 @@ def scenario_spec():
         blast_window=150,
     )
     cfg = SimulationConfig.small(h=2, routing="ofar", seed=19)
-    return RunSpec.for_scenario(cfg, scenario, backend=BACKEND)
+    return RunSpec.for_scenario(cfg, scenario)
 
 
 def _scenario_doc(result) -> str:
@@ -450,14 +433,7 @@ def main(argv: list[str] | None = None) -> None:
              "output must diff clean across plain, --orchestrated, "
              "--telemetry and --snapshot runs",
     )
-    parser.add_argument(
-        "--backend", choices=available_backends(), default="object",
-        help="engine backend executing every run; backends are bit-for-bit "
-             "identical, so any choice must emit the same fingerprint",
-    )
     args = parser.parse_args(argv)
-    global BACKEND
-    BACKEND = args.backend
     if sum((args.orchestrated, args.telemetry, args.snapshot)) > 1:
         sys.exit("--orchestrated, --telemetry and --snapshot are separate "
                  "checks; pick one")

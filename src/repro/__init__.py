@@ -16,22 +16,10 @@ Quickstart::
     point = run_spec(RunSpec(cfg, "ADV+2", load=0.3))
     print(point.throughput, point.avg_latency)
 
-The engine executing a point is a per-spec detail: ``RunSpec(...,
-backend="array")`` selects the numpy struct-of-arrays engine, proven
-bit-for-bit identical to the default object engine (see
-:mod:`repro.engine.backend`).
-
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
-from repro.engine.backend import (
-    EngineBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.engine.config import SimulationConfig, ThresholdConfig
 from repro.engine.metrics import LoadPoint, Metrics
 from repro.engine.runner import (
@@ -61,16 +49,11 @@ __all__ = [
     "RunSpec",
     "Simulator",
     "DeadlockError",
-    "EngineBackend",
     "Network",
     "Dragonfly",
     "HamiltonianRing",
     "Snapshot",
-    "available_backends",
     "build_steady_sim",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
     "run_spec",
     "run_load_sweep",
     "run_transient",

@@ -18,7 +18,6 @@ the 6tisch simulator's ``combination``/``numRuns``/``post``):
       pattern: [UN]
       load: {saturating: 0.56, points: 7}   # = Scale.loads(...)
     replications: 3         # seeds base, base+1, base+2 (or seeds: [..])
-    backend: array          # engine backend (bit-identical; default object)
     max_windows: 12         # windowed convergence instead of one window
     post: [series_table, summary, aggregate]  # figure/table emitters
 
@@ -46,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cluster.spec import ScenarioSpec
-from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig, ThresholdConfig
 from repro.engine.runspec import RunSpec
 from repro.experiments.common import Scale, get_scale
@@ -58,7 +56,7 @@ RUN_AXES = ("routing", "pattern", "load", "transition")
 
 _KNOWN_KEYS = {
     "name", "description", "kind", "scale", "config", "combination",
-    "seeds", "replications", "windows", "backend", "max_windows", "post",
+    "seeds", "replications", "windows", "max_windows", "post",
     "scenario",
 }
 _WINDOW_KEYS = {"warmup", "measure", "transient_warmup", "transient_post"}
@@ -223,7 +221,6 @@ class CampaignSpec:
     measure: int = 2_000
     transient_warmup: int = 2_000
     transient_post: int = 2_500
-    backend: str | None = None  # None = the process default backend
     max_windows: int | None = None  # windowed convergence (steady only)
     scenario: ScenarioSpec | None = None  # cluster scenario (scenario kind)
     post: tuple[str, ...] = ()
@@ -231,6 +228,11 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_mapping(cls, data: dict, scale: str | None = None) -> "CampaignSpec":
+        if "backend" in data:
+            raise CampaignError(
+                "'backend' was removed: the simulator has one engine, so "
+                "delete the key from the campaign file"
+            )
         unknown = set(data) - _KNOWN_KEYS
         if unknown:
             raise CampaignError(f"unknown campaign keys: {sorted(unknown)}")
@@ -373,17 +375,6 @@ class CampaignSpec:
                     f"'max_windows' must be a positive int, got {max_windows!r}"
                 )
 
-        backend = data.get("backend")
-        if backend is not None:
-            from repro.engine.backend import get_backend
-
-            if not isinstance(backend, str):
-                raise CampaignError(f"'backend' must be a backend name, got {backend!r}")
-            try:
-                get_backend(backend)
-            except ValueError as exc:
-                raise CampaignError(str(exc)) from None
-
         post = data.get("post", [])
         if not isinstance(post, list) or not all(isinstance(p, str) for p in post):
             raise CampaignError("'post' must be a list of emitter names")
@@ -400,7 +391,6 @@ class CampaignSpec:
             measure=windows.get("measure", scale_obj.measure),
             transient_warmup=windows.get("transient_warmup", scale_obj.transient_warmup),
             transient_post=windows.get("transient_post", scale_obj.transient_post),
-            backend=backend,
             max_windows=max_windows,
             scenario=scenario,
             post=tuple(post),
@@ -477,10 +467,7 @@ class CampaignSpec:
                     points.append(CampaignPoint(
                         coords=coords,
                         replication=replication,
-                        spec=RunSpec.for_scenario(
-                            config, self.scenario,
-                            backend=self.backend or default_backend(),
-                        ),
+                        spec=RunSpec.for_scenario(config, self.scenario),
                     ))
                 else:
                     pattern = _resolve_pattern(named["pattern"], config.h)
@@ -493,7 +480,6 @@ class CampaignSpec:
                         spec=RunSpec(
                             config, pattern, named["load"], self.warmup, self.measure,
                             max_windows=self.max_windows,
-                            backend=self.backend or default_backend(),
                         ),
                     ))
         return points

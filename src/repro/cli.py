@@ -60,7 +60,6 @@ from repro.analysis.bounds import (
 )
 from repro.analysis.results import Table
 from repro.analysis.store import ResultStore
-from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import summarize
 from repro.engine.runner import run_burst, run_spec, run_transient
@@ -102,8 +101,6 @@ def cmd_info(args) -> None:
 
 def cmd_sweep(args) -> None:
     cfg = _config(args)
-    # Resolve the execution context first: --backend installs the
-    # process default that every spec below is stamped with.
     fabric = getattr(args, "fabric", False) or bool(
         getattr(args, "coordinator", None)
     )
@@ -116,7 +113,7 @@ def cmd_sweep(args) -> None:
     max_windows = args.max_windows if args.saturating else None
     specs = [
         RunSpec(cfg, args.pattern, load, args.warmup, args.measure,
-                max_windows=max_windows, backend=default_backend())
+                max_windows=max_windows)
         for load in loads
     ]
     table = Table(f"{args.routing} on {args.pattern} (h={cfg.h})")
@@ -431,7 +428,7 @@ def cmd_scenario_run(args) -> None:
 
     scenario = _load_scenario_or_exit(args.file)
     cfg = _config(args)
-    spec = RunSpec.for_scenario(cfg, scenario, backend=default_backend())
+    spec = RunSpec.for_scenario(cfg, scenario)
     store = ResultStore(args.store) if args.store else None
     result = run_scenario_cached(spec, store)
     table = Table(f"{spec.label()} — per-job outcomes")
@@ -585,7 +582,6 @@ def _fabric_backend(args):
 def cmd_fabric_work(args) -> None:
     from repro.fabric import FabricWorker, WorkQueue
 
-    # Options first: --backend must be installed before specs are built.
     store, options = fabric_options_from_args(args)
     campaign, specs = _fabric_campaign_specs(args)
     queue = WorkQueue(

@@ -31,12 +31,12 @@ from repro.cluster.schedule import CompiledScenario, compile_scenario
 from repro.cluster.spec import FaultScheduleSpec, ScenarioSpec
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
+from repro.engine.simulator import Simulator
 from repro.workloads.composite import CompositeTraffic
 from repro.workloads.runner import jain_across_jobs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.store import ResultStore
-    from repro.engine.simulator import Simulator
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.sampler import TelemetrySeries
     from repro.topology.dragonfly import Dragonfly
@@ -296,14 +296,10 @@ def advance_scenario(
 # ----------------------------------------------------------------------
 def build_scenario_sim(spec: RunSpec) -> tuple["Simulator", CompiledScenario]:
     """Fresh simulator + compiled schedule for one scenario spec."""
-    from repro.engine.backend import resolve_backend
-
     if spec.scenario is None:
         raise ValueError("spec.scenario must be set to run a scenario")
     config = spec.config
-    sim = resolve_backend(spec).simulator(
-        config, record_per_source=True, record_per_job=True
-    )
+    sim = Simulator(config, record_per_source=True, record_per_job=True)
     compiled = compile_scenario(spec.scenario, sim.network.topo)
     sim.generator = CompositeTraffic(
         sim.network.topo, compiled.workload, config.packet_size, config.seed

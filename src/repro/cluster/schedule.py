@@ -9,7 +9,7 @@ runs that pass and emits a pinned
 its exact ``node_list`` and ``start``/``stop`` cycles), so the network
 simulation downstream is the stock
 :class:`~repro.workloads.composite.CompositeTraffic` lifecycle — churn
-literally rides on the workload layer, and two backends replaying the
+literally rides on the workload layer, and two runs replaying the
 same compiled schedule see bit-identical traffic.
 
 Schedulers are pluggable: implement :class:`Scheduler` and register the

@@ -5,15 +5,6 @@ from repro.engine.config import SimulationConfig, ThresholdConfig
 from repro.engine.metrics import Metrics, LoadPoint
 from repro.engine.runspec import RunSpec
 from repro.engine.simulator import Simulator, DeadlockError
-from repro.engine.backend import (
-    EngineBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-)
 from repro.engine.runner import (
     build_steady_sim,
     run_spec,
@@ -31,17 +22,10 @@ __all__ = [
     "RunSpec",
     "Simulator",
     "DeadlockError",
-    "EngineBackend",
     "Orchestrator",
     "OrchestratorError",
     "PointResult",
-    "available_backends",
     "build_steady_sim",
-    "default_backend",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
     "run_spec",
     "run_load_sweep",
     "run_transient",

@@ -17,13 +17,7 @@ import os
 
 from repro.engine.config import SimulationConfig
 from repro.engine.metrics import LoadPoint
-from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
-
-
-def _point(spec: RunSpec) -> LoadPoint:
-    """Worker shim kept for back-compat; consumes a :class:`RunSpec`."""
-    return run_spec(spec)
 
 
 def available_cpus() -> int:

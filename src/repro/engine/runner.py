@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
-from repro.engine.backend import EngineBackend, resolve_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
@@ -36,38 +35,22 @@ def _pattern_rng(config: SimulationConfig, salt: int) -> random.Random:
     return random.Random((config.seed << 16) ^ salt)
 
 
-def build_steady_sim(
-    spec: RunSpec, backend: "EngineBackend | None" = None
-) -> Simulator:
+def build_steady_sim(spec: RunSpec) -> Simulator:
     """Fresh simulator + Bernoulli generator for one steady-state spec.
-
-    The simulator class comes from the spec's engine backend
-    (:func:`~repro.engine.backend.resolve_backend`); the generator
-    wiring — pattern RNG salt, Bernoulli seed derivation, per-source
-    recording — is backend-independent, which is what makes backends
-    interchangeable at the trajectory level.
 
     Per-source ejected counts are always recorded so every steady point
     reports the Jain index / worst-source share in its LoadPoint; the
     counters are observation only (no RNG draws), so the rest of the
     point is unchanged.
     """
-    if backend is None:
-        backend = resolve_backend(spec)
     config = spec.config
-    sim = backend.simulator(config, record_per_source=True)
+    sim = Simulator(config, record_per_source=True)
     pattern = make_pattern(sim.network.topo, _pattern_rng(config, 0xA5), spec.pattern_spec)
     sim.generator = BernoulliTraffic(
         pattern, spec.load, config.packet_size, sim.network.topo.num_nodes,
         config.seed ^ 0x5A5A,
     )
     return sim
-
-
-# Pre-redesign private name; the snapshot/checkpoint layers and external
-# scripts reached for it long enough that keeping the alias is cheaper
-# than the churn.
-_build_steady_sim = build_steady_sim
 
 
 def _measure_windows(
@@ -101,9 +84,7 @@ def run_spec(spec: RunSpec) -> LoadPoint:
 
     This is the canonical steady-state entry point; everything else
     (the parallel pool, the orchestrator, the campaign runner) is a
-    wrapper that constructs a ``RunSpec`` and lands here.  The engine
-    executing the point is chosen by ``spec.backend`` via
-    :func:`~repro.engine.backend.resolve_backend`.
+    wrapper that constructs a ``RunSpec`` and lands here.
 
     Multi-job specs (``spec.workload``) dispatch to the workload runner
     and report the *global* LoadPoint; use
@@ -120,7 +101,7 @@ def run_spec(spec: RunSpec) -> LoadPoint:
         from repro.workloads.runner import run_workload
 
         return run_workload(spec).total
-    sim = resolve_backend(spec).build(spec)
+    sim = build_steady_sim(spec)
     sim.warm_up(spec.warmup)
     if spec.max_windows is not None:
         return _measure_windows(sim, spec)
@@ -156,7 +137,7 @@ def run_spec_with_telemetry(
 
         result, series = run_workload_with_telemetry(spec, cfg)
         return result.total, series
-    sim = resolve_backend(spec).build(spec)
+    sim = build_steady_sim(spec)
     sim.warm_up(spec.warmup)
     sampler = TelemetrySampler(sim, cfg)
     sampler.attach()
@@ -229,14 +210,9 @@ def _build_transient_sim(
     load: float,
     warmup: int,
     bucket: int,
-    backend: str = "object",
 ) -> Simulator:
     """Fresh simulator + two-phase generator for one transient run."""
-    from repro.engine.backend import get_backend
-
-    sim = get_backend(backend).simulator(
-        config, record_send_latency=True, send_bucket=bucket
-    )
+    sim = Simulator(config, record_send_latency=True, send_bucket=bucket)
     topo = sim.network.topo
     phases = [
         (0, make_pattern(topo, _pattern_rng(config, 0xB0), before_spec)),
@@ -258,7 +234,6 @@ def run_transient(
     drain_margin: int = 4_000,
     bucket: int = 20,
     telemetry: "TelemetryConfig | None" = None,
-    backend: str = "object",
 ) -> TransientResult:
     """Fig. 6 protocol: warm up with one pattern, switch, watch latency.
 
@@ -272,7 +247,7 @@ def run_transient(
     (both count from 0) and ``switch_cycle`` marks the transition.
     """
     sim = _build_transient_sim(
-        config, before_spec, after_spec, load, warmup, bucket, backend
+        config, before_spec, after_spec, load, warmup, bucket
     )
     sampler = None
     if telemetry is not None:
@@ -300,7 +275,6 @@ def run_transient_forked(
     post: int = 3_000,
     drain_margin: int = 4_000,
     bucket: int = 20,
-    backend: str = "object",
 ) -> list[TransientResult]:
     """Fig. 6 protocol over N after-patterns with ONE shared warm-up.
 
@@ -324,7 +298,7 @@ def run_transient_forked(
     from repro.snapshot.codec import _walk_pattern_rngs
 
     base = _build_transient_sim(
-        config, before_spec, after_specs[0], load, warmup, bucket, backend
+        config, before_spec, after_specs[0], load, warmup, bucket
     )
     base.run(warmup)
     snap = Snapshot.capture(base)
@@ -332,7 +306,7 @@ def run_transient_forked(
     results = []
     for after_spec in after_specs:
         sim = _build_transient_sim(
-            config, before_spec, after_spec, load, warmup, bucket, backend
+            config, before_spec, after_spec, load, warmup, bucket
         )
         # The variant's own after-phase RNG state (post-construction —
         # e.g. a permutation pattern draws its mapping at build time).
@@ -373,12 +347,9 @@ def run_burst(
     pattern_spec: str,
     packets_per_node: int,
     max_cycles: int = 2_000_000,
-    backend: str = "object",
 ) -> BurstResult:
     """Inject a fixed per-node backlog and time its full consumption."""
-    from repro.engine.backend import get_backend
-
-    sim = get_backend(backend).simulator(config)
+    sim = Simulator(config)
     topo = sim.network.topo
     pattern = make_pattern(topo, _pattern_rng(config, 0xC2), pattern_spec)
     sim.generator = BurstTraffic(pattern, packets_per_node, topo.num_nodes)

@@ -16,12 +16,10 @@ Two derived encodings matter:
 - :meth:`RunSpec.to_json` / :meth:`RunSpec.from_json` — a lossless
   round-trip used for provenance inside store entries.
 
-Two fields are exceptions to "everything is identity": ``telemetry``
-requests in-run observation (:mod:`repro.telemetry`) and ``backend``
-selects the engine implementation (:mod:`repro.engine.backend`); both
-are excluded from the encodings, because neither changes what the
-simulation computes — samplers never perturb, and every registered
-backend is proven bit-for-bit identical to the reference engine.
+One field is an exception to "everything is identity": ``telemetry``
+requests in-run observation (:mod:`repro.telemetry`) and is excluded
+from the encodings, because samplers never perturb what the simulation
+computes.
 """
 
 from __future__ import annotations
@@ -74,13 +72,6 @@ class RunSpec:
     # — and like it the key is omitted when None so every pre-existing
     # fingerprint is unchanged.
     scenario: ScenarioSpec | None = None
-    # Engine backend selection, NOT identity: every registered backend
-    # is proven bit-for-bit identical to the reference object engine
-    # (tests/test_array_backend.py, determinism_fingerprint --backend),
-    # so like ``telemetry`` it is excluded from ``to_jsonable()``/
-    # ``fingerprint()`` — results computed by one backend are cache hits
-    # for every other.
-    backend: str = "object"
 
     def __post_init__(self) -> None:
         if self.load < 0:
@@ -97,8 +88,6 @@ class RunSpec:
                     "windowed convergence (max_windows) is a steady-state "
                     "protocol; workload specs measure one fixed window"
                 )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
         if self.workload is not None:
             # Canonical encoding: the jobs carry the patterns and loads,
             # so the single-tenant fields must hold fixed sentinel
@@ -140,12 +129,11 @@ class RunSpec:
         config: SimulationConfig,
         scenario: ScenarioSpec,
         telemetry: TelemetryConfig | None = None,
-        backend: str = "object",
     ) -> "RunSpec":
         """Canonical constructor for cluster-scenario specs."""
         return cls(
             config, "scenario", 0.0, 0, scenario.horizon, telemetry,
-            scenario=scenario, backend=backend,
+            scenario=scenario,
         )
 
     @classmethod
@@ -156,12 +144,10 @@ class RunSpec:
         warmup: int = 2_000,
         measure: int = 2_000,
         telemetry: TelemetryConfig | None = None,
-        backend: str = "object",
     ) -> "RunSpec":
         """Canonical constructor for multi-job specs."""
         return cls(
             config, "workload", 0.0, warmup, measure, telemetry, workload,
-            backend=backend,
         )
 
     # ------------------------------------------------------------------

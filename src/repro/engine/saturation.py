@@ -16,7 +16,6 @@ module provides:
 
 from __future__ import annotations
 
-from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.metrics import LoadPoint
 from repro.engine.runner import _measure_windows, build_steady_sim, run_spec
@@ -33,10 +32,7 @@ def accepted_ratio(
     """Accepted/offered throughput ratio at one load (1.0 = keeping up)."""
     if load <= 0.0:
         raise ValueError("load must be positive")
-    point = run_spec(
-        RunSpec(config, pattern_spec, load, warmup, measure,
-                backend=default_backend())
-    )
+    point = run_spec(RunSpec(config, pattern_spec, load, warmup, measure))
     return point.throughput / load
 
 
@@ -102,7 +98,7 @@ def run_until_stable(
     """
     spec = RunSpec(
         config, pattern_spec, load, warmup=window, measure=window,
-        max_windows=max_windows, backend=default_backend(),
+        max_windows=max_windows,
     )
     sim = build_steady_sim(spec)
     sim.warm_up(window)

@@ -48,10 +48,6 @@ class DeadlockError(RuntimeError):
 class Simulator:
     """Drives one :class:`~repro.network.network.Network` instance."""
 
-    #: Network implementation this engine drives; the array backend
-    #: substitutes its mirror-keeping subclass here.
-    _network_cls = Network
-
     def __init__(
         self,
         config: SimulationConfig,
@@ -62,7 +58,7 @@ class Simulator:
         record_per_job: bool = False,
     ) -> None:
         self.config = config
-        self.network = self._network_cls(config)
+        self.network = Network(config)
         self.rng = random.Random(config.seed)
         self.routing = make_routing(self.network, self.rng)
         self.metrics = Metrics(
@@ -281,15 +277,6 @@ class Simulator:
         """Run ``cycles`` and then reset the measurement window."""
         self.run(cycles)
         self.metrics.reset(self.cycle)
-
-    # ------------------------------------------------------------------
-    def _on_state_applied(self) -> None:
-        """Hook run after a snapshot restore overlays this simulator.
-
-        The object graph is canonical; engines that keep derived
-        acceleration state (the array backend's numpy mirrors) override
-        this to rebuild it.  The reference engine derives nothing.
-        """
 
     # ------------------------------------------------------------------
     def state_digest(self) -> str:

@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.analysis.results import Series
-from repro.engine.backend import default_backend, set_default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import Orchestrator
 from repro.engine.runner import run_spec
@@ -66,15 +65,10 @@ class Scale:
 
     def spec(self, routing: str, pattern: str, load: float,
              **config_overrides) -> RunSpec:
-        """One steady-state :class:`RunSpec` at this scale's windows.
-
-        The spec is stamped with the process-wide default engine backend
-        (``--backend`` via :func:`orchestrator_from_args`), so the
-        choice travels with the spec into orchestrator workers.
-        """
+        """One steady-state :class:`RunSpec` at this scale's windows."""
         return RunSpec(
             self.config(routing, **config_overrides), pattern, load,
-            self.warmup, self.measure, backend=default_backend(),
+            self.warmup, self.measure,
         )
 
 
@@ -176,8 +170,8 @@ def add_run_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     drivers (via :func:`cli_scale`), ``repro sweep``/``repro figure``,
     and ``repro campaign run`` all call it, so the flag set cannot
     drift between entry points.  Parse results feed
-    :func:`orchestrator_from_args`, which interprets every flag
-    (including ``--backend``) in one place.
+    :func:`orchestrator_from_args`, which interprets every flag in one
+    place.
     """
     group = parser.add_argument_group("sweep execution")
     group.add_argument(
@@ -230,12 +224,6 @@ def add_run_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
              "resumes from its last checkpoint instead of cycle 0 "
              f"(implies a store, default dir {DEFAULT_STORE!r})",
     )
-    group.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="engine backend executing each point (object | array); "
-             "backends are bit-for-bit identical, so results and store "
-             "keys do not depend on this choice (default: object)",
-    )
     fabric = parser.add_argument_group(
         "distributed fabric",
         "cooperatively drain the grid with other hosts through one "
@@ -279,22 +267,12 @@ def orchestration_options() -> argparse.ArgumentParser:
     return add_run_args(argparse.ArgumentParser(add_help=False))
 
 
-def _install_backend_from_args(args: argparse.Namespace) -> None:
-    """``--backend`` becomes the process-wide default (or SystemExit)."""
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        try:
-            set_default_backend(backend)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-
-
 def fabric_options_from_args(args: argparse.Namespace):
     """``(store, drain kwargs)`` for the ``--fabric`` execution path.
 
     Validates flag compatibility (``--workers``/``--no-cache``/
-    ``--timeout`` conflict with cooperative draining), installs
-    ``--backend`` as the process default, and resolves the shared store
+    ``--timeout`` conflict with cooperative draining) and resolves the
+    shared store
     (``--store``, default :data:`DEFAULT_STORE`).  The returned kwargs
     feed :func:`repro.fabric.drain` (or, popped apart, a
     :class:`~repro.fabric.WorkQueue` + :class:`~repro.fabric.FabricWorker`
@@ -322,7 +300,6 @@ def fabric_options_from_args(args: argparse.Namespace):
             "stuck workers are handled by lease expiry (--lease-ttl) "
             "and the fleet-wide --max-attempts budget"
         )
-    _install_backend_from_args(args)
     telemetry = (
         TelemetryConfig(interval=args.telemetry)
         if getattr(args, "telemetry", None) is not None else None
@@ -377,14 +354,7 @@ def fabric_run_from_args(args: argparse.Namespace, specs):
 
 
 def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator | None:
-    """Interpret an :func:`add_run_args` namespace (None = legacy).
-
-    Besides building the orchestrator, this installs the requested
-    engine backend as the process-wide default
-    (:func:`repro.engine.backend.set_default_backend`), so every spec
-    constructed afterwards — ``Scale.spec``, campaign expansion, the
-    CLI — carries it.
-    """
+    """Interpret an :func:`add_run_args` namespace (None = legacy)."""
     from repro.analysis.store import ResultStore
     from repro.engine.tracing import ConsoleProgress
 
@@ -399,7 +369,6 @@ def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator | None:
             "'repro campaign run' (and 'repro fabric work'); this "
             "command runs single-host"
         )
-    _install_backend_from_args(args)
     snapshot_every = getattr(args, "snapshot_every", None)
     store_dir = args.store or (
         DEFAULT_STORE if (args.resume or snapshot_every is not None) else None

@@ -59,6 +59,14 @@ API_PREFIX = "/api/v1/"
 #: Protocol version echoed by ``ping``; clients refuse a mismatch.
 PROTOCOL = 1
 
+#: Largest request body the coordinator reads, in bytes.  The biggest
+#: body a worker sends is a result upload with its sidecars: 11,127
+#: bytes for a point of ``campaigns/cluster_churn.yaml`` (its scenario
+#: sidecar) and at most 1,296 bytes in the test suite.  16 MiB leaves
+#: three orders of magnitude of headroom for longer scenarios while
+#: bounding what one request can make a handler thread hold in memory.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class _Routes:
     """The coordinator's request handlers, one method per route.
@@ -216,25 +224,44 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
-    def _reply(self, code: int, payload: dict) -> None:
+    def _reply(self, code: int, payload: dict, close: bool = False) -> None:
         blob = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        if close:
+            # The request body was left unread, so the stream cannot be
+            # parsed for a next request: end the keep-alive connection.
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(blob)
 
     def _dispatch(self, method: str) -> None:
         if not self.path.startswith(API_PREFIX):
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
+            self._reply(404, {"error": f"unknown path {self.path!r}"}, close=True)
             return
         route = self.path[len(API_PREFIX):].strip("/").replace("/", "_")
         handler = getattr(self.server.routes, f"{method}_{route}", None)
         if handler is None:
-            self._reply(404, {"error": f"unknown route {route!r}"})
+            self._reply(404, {"error": f"unknown route {route!r}"}, close=True)
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            # Content-Length comes from the network: -1 would make
+            # read() wait for EOF and stall this keep-alive thread, a
+            # huge value would be read into memory whole.
+            if length < 0:
+                self._reply(400, {"error": f"bad Content-Length {length}"}, close=True)
+                return
+            if length > MAX_BODY_BYTES:
+                self._reply(
+                    413,
+                    {"error": f"request body of {length} bytes exceeds the "
+                              f"{MAX_BODY_BYTES}-byte limit"},
+                    close=True,
+                )
+                return
             body = json.loads(self.rfile.read(length)) if length else {}
             self._reply(200, handler(body))
         except (KeyError, TypeError, ValueError) as exc:

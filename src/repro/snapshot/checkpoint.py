@@ -138,7 +138,7 @@ def run_spec_checkpointed(
             "windowed-convergence specs (max_windows) cannot resume "
             "mid-protocol — run them without --snapshot-every"
         )
-    from repro.engine.runner import _build_steady_sim
+    from repro.engine.runner import build_steady_sim
 
     workload = spec.workload is not None
     scenario = spec.scenario is not None
@@ -150,7 +150,7 @@ def run_spec_checkpointed(
     elif workload:
         from repro.workloads.runner import build_workload_sim as _build
     else:
-        _build = _build_steady_sim
+        _build = build_steady_sim
 
     sim = _build(spec)
     plan = scenario_plan(spec.scenario, sim.network.topo) if scenario else None

@@ -595,9 +595,6 @@ def apply_state(sim: "Simulator", state: dict) -> "Simulator":
     _apply_generator(sim.generator, state["generator"])
     if state["telemetry"] is not None:
         _apply_telemetry(sim, state["telemetry"])
-    # Engine hook: derived acceleration state (e.g. the array backend's
-    # struct-of-arrays mirrors) is rebuilt from the restored object graph.
-    sim._on_state_applied()
     return sim
 
 

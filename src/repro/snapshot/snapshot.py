@@ -118,9 +118,9 @@ class Snapshot:
             from repro.workloads.runner import build_workload_sim
 
             return self.restore_into(build_workload_sim(spec))
-        from repro.engine.runner import _build_steady_sim
+        from repro.engine.runner import build_steady_sim
 
-        return self.restore_into(_build_steady_sim(spec))
+        return self.restore_into(build_steady_sim(spec))
 
     # ------------------------------------------------------------------
     def to_jsonable(self) -> dict:

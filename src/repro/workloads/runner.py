@@ -120,20 +120,11 @@ class WorkloadResult:
 # Execution
 # ----------------------------------------------------------------------
 def build_workload_sim(spec: RunSpec) -> Simulator:
-    """Fresh simulator + composite generator for one workload spec.
-
-    The simulator class comes from the spec's engine backend
-    (:func:`~repro.engine.backend.resolve_backend`), like every other
-    spec-driven builder.
-    """
-    from repro.engine.backend import resolve_backend
-
+    """Fresh simulator + composite generator for one workload spec."""
     if spec.workload is None:
         raise ValueError("spec.workload must be set to run a workload")
     config = spec.config
-    sim = resolve_backend(spec).simulator(
-        config, record_per_source=True, record_per_job=True
-    )
+    sim = Simulator(config, record_per_source=True, record_per_job=True)
     sim.generator = CompositeTraffic(
         sim.network.topo, spec.workload, config.packet_size, config.seed
     )

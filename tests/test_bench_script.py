@@ -87,53 +87,6 @@ def test_telemetry_check_mode(tmp_path):
     assert "sampling overhead" in proc.stdout
 
 
-def test_backend_check_mode(tmp_path):
-    """--backend array --check runs the engine A/B harness with the
-    per-phase state-digest cross-check — the CI gate on the backends'
-    bit-for-bit contract (a divergence exits non-zero)."""
-    out = tmp_path / "bench_array.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO, "src")
-    proc = subprocess.run(
-        [
-            sys.executable, SCRIPT, "--backend", "array", "--check",
-            "--warmup", "20", "--cycles", "120", "--out", str(out),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(out.read_text())
-    assert payload["backend"] == "array"
-    assert payload["combined_speedup"] > 0
-    for ph in payload["phases"]:
-        assert ph["object_cycles_per_sec"] > 0 and ph["cycles_per_sec"] > 0
-        assert ph["ejected_packets"] > 0
-        assert len(ph["state_digest"]) == 64  # the cross-checked digest
-    assert "speedup" in proc.stdout
-
-
-def test_backend_unknown_name_fails(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO, "src")
-    proc = subprocess.run(
-        [
-            sys.executable, SCRIPT, "--backend", "cuda", "--check",
-            "--warmup", "5", "--cycles", "20",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=300,
-    )
-    assert proc.returncode != 0
-    assert "unknown engine backend" in proc.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_check_mode_writes_no_file_by_default(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")

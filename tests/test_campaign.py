@@ -218,22 +218,12 @@ class TestValidation:
             }
             CampaignSpec.from_mapping(data)
 
-    def test_backend_key_propagates_to_specs(self):
-        campaign = CampaignSpec.from_mapping(mapping(backend="array"))
-        points = campaign.expand()
-        assert all(pt.spec.backend == "array" for pt in points)
-        # Backend never forks the store key: same grid on the default
-        # backend fingerprints identically.
-        default = CampaignSpec.from_mapping(mapping()).expand()
-        assert [pt.spec.fingerprint() for pt in points] == [
-            pt.spec.fingerprint() for pt in default
-        ]
-
-    def test_backend_must_be_registered(self):
-        with pytest.raises(CampaignError, match="unknown"):
-            CampaignSpec.from_mapping(mapping(backend="cuda"))
-        with pytest.raises(CampaignError, match="backend"):
-            CampaignSpec.from_mapping(mapping(backend=3))
+    def test_removed_backend_key_rejected(self):
+        """A stale ``backend:`` key fails loudly with its own message,
+        not the generic unknown-key one, and is never ignored."""
+        for value in ("array", "object"):
+            with pytest.raises(CampaignError, match="'backend' was removed.*one engine"):
+                CampaignSpec.from_mapping({**mapping(), "backend": value})
 
     def test_seeds_and_replications_exclusive(self):
         with pytest.raises(CampaignError, match="mutually exclusive"):
@@ -408,6 +398,23 @@ requires_yaml = pytest.mark.skipif(not _HAVE_YAML, reason="PyYAML not installed"
 
 @requires_yaml
 class TestCheckedInCampaigns:
+    @pytest.mark.parametrize(
+        "path", sorted(CAMPAIGNS.glob("*.yaml")), ids=lambda p: p.name
+    )
+    def test_every_campaign_loads(self, path):
+        data = load_mapping(path)
+        if "combination" not in data:
+            # An inherits-only base (base.yaml): validate it as the root
+            # the figure campaigns deep-merge onto.
+            data = deep_merge(data, {"combination": mapping()["combination"]})
+        points = CampaignSpec.from_mapping(data).expand()
+        assert points
+        keys = [
+            pt.spec.fingerprint() if pt.spec is not None else pt.transient
+            for pt in points
+        ]
+        assert len(set(keys)) == len(keys)
+
     def test_tiny_expands_to_eight_points(self):
         campaign = load_campaign(CAMPAIGNS / "tiny.yaml")
         points = campaign.expand()

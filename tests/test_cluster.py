@@ -4,7 +4,7 @@ Covers the three layers the subsystem stacks: the pluggable schedulers
 (FCFS head-of-line blocking, EASY backfill's shadow-reservation rule,
 runtime registration), the deterministic compilation of a scenario spec
 into a pinned workload, and the network execution path — bit-identical
-reruns across backends, blast-radius attribution, checkpoint resume,
+reruns, blast-radius attribution, checkpoint resume,
 store sidecar caching, and the campaign `kind: scenario` integration.
 """
 
@@ -137,9 +137,9 @@ SCENARIO = ScenarioSpec(
 )
 
 
-def scenario_spec(routing="ofar", backend="object", scenario=SCENARIO):
+def scenario_spec(routing="ofar", scenario=SCENARIO):
     cfg = SimulationConfig.small(h=2, routing=routing, seed=19)
-    return RunSpec.for_scenario(cfg, scenario, backend=backend)
+    return RunSpec.for_scenario(cfg, scenario)
 
 
 def doc(result) -> str:
@@ -206,12 +206,6 @@ class TestRunScenario:
         a = run_scenario(spec)
         b = run_scenario(spec)
         assert doc(a) == doc(b)
-
-    def test_array_backend_matches_object(self):
-        pytest.importorskip("numpy")
-        base = run_scenario(scenario_spec(backend="object"))
-        arr = run_scenario(scenario_spec(backend="array"))
-        assert doc(base) == doc(arr)
 
     def test_result_round_trips_through_json(self):
         result = run_scenario(scenario_spec())

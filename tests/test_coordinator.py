@@ -36,6 +36,7 @@ from repro.fabric.coordinator import (
     RemoteStore,
     open_coordinator,
 )
+from repro.fabric.coordinator.server import MAX_BODY_BYTES
 from repro.fabric.watch import render_frame, watch
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -71,6 +72,28 @@ def coord(tmp_path):
     yield server
     server.shutdown()
     server.server_close()
+
+
+def _raw_post(coord, content_length: int, body: bytes = b"",
+              route: str = "claim") -> bytes:
+    """Response head of a raw keep-alive POST claiming ``content_length``."""
+    host, port = coord.server_address[:2]
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(
+            f"POST /api/v1/{route} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode() + body
+        )
+        head = b""
+        while b"\r\n\r\n" not in head:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            head += chunk
+    return head.split(b"\r\n\r\n", 1)[0]
+
+
+def _status(head: bytes) -> int:
+    return int(head.split(b" ", 2)[1])
 
 
 def managers(coord, *workers, ttl=60.0, retry_window=3.0):
@@ -171,6 +194,23 @@ class TestHTTPLeaseProtocol:
         assert reply["ok"] is True
         with pytest.raises(CoordinatorError):
             client.call("no_such_route", {})
+
+    def test_negative_content_length_is_rejected(self, coord):
+        # Headers only, connection held open: a server that trusted the
+        # header would read to EOF and never answer (socket timeout).
+        assert _status(_raw_post(coord, -1)) == 400
+
+    def test_oversized_body_is_refused_unread(self, coord):
+        # No body follows the header: only a server that answers before
+        # reading replies within the socket timeout.
+        assert _status(_raw_post(coord, MAX_BODY_BYTES + 1)) == 413
+
+    def test_unknown_route_closes_the_connection(self, coord):
+        # The 404 leaves the body unread; keeping the connection alive
+        # would parse it as the start of the next request.
+        head = _raw_post(coord, 2, body=b"{}", route="no_such_route")
+        assert _status(head) == 404
+        assert b"connection: close" in head.lower()
 
 
 # ----------------------------------------------------------------------

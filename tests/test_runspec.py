@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.results import Series
 from repro.engine.config import SimulationConfig
 from repro.engine.metrics import LoadPoint
-from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
 
 
@@ -85,23 +84,6 @@ class TestRunSpec:
         text = spec().label()
         assert "ofar" in text and "ADV+2" in text and "0.3" in text
 
-    def test_backend_excluded_from_identity(self):
-        """Backend selection picks an engine implementation, and every
-        registered backend is proven bit-identical — so like telemetry
-        it must not fork fingerprints or the canonical JSON."""
-        plain = spec()
-        arrayed = spec(backend="array")
-        assert arrayed.fingerprint() == plain.fingerprint()
-        assert arrayed.to_json() == plain.to_json()
-        assert "backend" not in arrayed.to_jsonable()
-        assert RunSpec.from_json(arrayed.to_json()) == plain
-
-    def test_backend_validation(self):
-        with pytest.raises(ValueError):
-            spec(backend="")
-        with pytest.raises(ValueError):
-            spec(backend=7)
-
     def test_max_windows_is_identity(self):
         """Windowed convergence changes the reported numbers, so it IS
         part of the fingerprint — but only when set, so pre-existing
@@ -114,14 +96,6 @@ class TestRunSpec:
         assert RunSpec.from_json(windowed.to_json()) == windowed
         with pytest.raises(ValueError):
             spec(max_windows=0)
-
-    def test_run_spec_same_point_both_backends(self):
-        """The redesigned entry point: run_spec honors spec.backend and
-        both engines report the same LoadPoint."""
-        s = spec(warmup=60, measure=100)
-        import dataclasses
-
-        assert run_spec(s) == run_spec(dataclasses.replace(s, backend="array"))
 
 
 def mk_point(**kw):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.config import SimulationConfig
 from repro.engine.runner import (
-    _build_steady_sim,
+    build_steady_sim,
     run_spec,
     run_transient,
     run_transient_forked,
@@ -45,7 +45,7 @@ def steady_spec(**overrides) -> RunSpec:
 def interrupted_point(spec: RunSpec, at: int):
     """LoadPoint computed across a save/restore boundary ``at`` cycles
     into the measurement window (with a JSON round trip in between)."""
-    sim = _build_steady_sim(spec)
+    sim = build_steady_sim(spec)
     sim.warm_up(spec.warmup)
     sim.run(at)
     snap = json_roundtrip(Snapshot.capture(sim, spec=spec))
@@ -87,7 +87,7 @@ class TestSteadyRoundTrip:
 
     def test_digest_identical_after_restore_and_in_lockstep(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(137)
         snap = json_roundtrip(Snapshot.capture(sim, spec=spec))
         restored = snap.fork()
@@ -100,7 +100,7 @@ class TestSteadyRoundTrip:
 
     def test_forks_are_independent(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(150)
         snap = Snapshot.capture(sim, spec=spec)
         a, b = snap.fork(), snap.fork()
@@ -123,7 +123,7 @@ class TestSleepingRoutersAndEventWheel:
             SimulationConfig.small(h=2, routing="ofar", seed=21),
             "UN", 0.2, warmup=100, measure=100,
         )
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         net = sim.network
         sim.run(50)
         for _ in range(2_000):
@@ -255,7 +255,7 @@ class TestTelemetryRoundTrip:
         tcfg = TelemetryConfig(interval=50, per_link=True)
         pt_ref, series_ref = run_spec_with_telemetry(spec, tcfg)
 
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.warm_up(spec.warmup)
         TelemetrySampler(sim, tcfg).attach()
         sim.run(88)
@@ -276,8 +276,8 @@ class TestTelemetryRoundTrip:
         from repro.telemetry.sampler import TelemetrySampler
 
         spec = steady_spec()
-        plain = _build_steady_sim(spec)
-        watched = _build_steady_sim(spec)
+        plain = build_steady_sim(spec)
+        watched = build_steady_sim(spec)
         TelemetrySampler(watched, TelemetryConfig(interval=25)).attach()
         plain.run(120)
         watched.run(120)
@@ -322,20 +322,20 @@ class TestBurstRoundTrip:
 class TestGuards:
     def test_restore_rejects_dirty_target(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(10)
         snap = Snapshot.capture(sim, spec=spec)
-        dirty = _build_steady_sim(spec)
+        dirty = build_steady_sim(spec)
         dirty.run(5)
         with pytest.raises(SnapshotError, match="freshly built"):
             snap.restore_into(dirty)
 
     def test_restore_rejects_config_mismatch(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(10)
         snap = Snapshot.capture(sim, spec=spec)
-        other = _build_steady_sim(steady_spec(seed=8))
+        other = build_steady_sim(steady_spec(seed=8))
         with pytest.raises(SnapshotError, match="config mismatch"):
             snap.restore_into(other)
 
@@ -345,7 +345,7 @@ class TestGuards:
 
     def test_fork_without_spec_needs_builder(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(10)
         snap = Snapshot.capture(sim)  # no spec embedded
         with pytest.raises(SnapshotError, match="embedded RunSpec"):
@@ -353,7 +353,7 @@ class TestGuards:
 
     def test_save_load_round_trip(self, tmp_path):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(42)
         snap = Snapshot.capture(sim, spec=spec)
         path = tmp_path / "snap" / "state.json"
@@ -367,13 +367,13 @@ class TestGuards:
 class TestDebugTools:
     def test_first_divergence_none_for_identical_runs(self):
         spec = steady_spec()
-        a, b = _build_steady_sim(spec), _build_steady_sim(spec)
+        a, b = build_steady_sim(spec), build_steady_sim(spec)
         assert first_divergence(a, b, max_cycles=60) is None
 
     def test_first_divergence_localizes_a_seed_difference(self):
         spec_a = steady_spec(seed=7)
         spec_b = steady_spec(seed=8)
-        a, b = _build_steady_sim(spec_a), _build_steady_sim(spec_b)
+        a, b = build_steady_sim(spec_a), build_steady_sim(spec_b)
         hit = first_divergence(a, b, max_cycles=200)
         assert hit is not None
         assert hit["digest_a"] != hit["digest_b"]
@@ -381,7 +381,7 @@ class TestDebugTools:
 
     def test_first_divergence_rejects_misaligned_starts(self):
         spec = steady_spec()
-        a, b = _build_steady_sim(spec), _build_steady_sim(spec)
+        a, b = build_steady_sim(spec), build_steady_sim(spec)
         a.run(3)
         with pytest.raises(ValueError):
             first_divergence(a, b, max_cycles=10)

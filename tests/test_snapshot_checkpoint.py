@@ -86,10 +86,10 @@ class TestRunSpecCheckpointed:
     def test_foreign_spec_checkpoint_ignored(self, tmp_path):
         # A checkpoint for seed=9 parked under seed=7's slot must be a miss.
         other = steady_spec(seed=9)
-        from repro.engine.runner import _build_steady_sim
+        from repro.engine.runner import build_steady_sim
         from repro.snapshot import Snapshot
 
-        sim = _build_steady_sim(other)
+        sim = build_steady_sim(other)
         sim.run(30)
         spec = steady_spec(seed=7)
         Snapshot.capture(sim, spec=other).save(
